@@ -184,6 +184,11 @@ class CompiledProgram:
     name: str = "program"
     key: PlanKey | None = None
     _runs: int = field(default=0, repr=False)
+    # ``cost`` and ``spec`` are frozen, so the modelled timing is too.
+    _timing: TimingBreakdown = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._timing = estimate_time(self.cost, self.spec)
 
     def run(self, *inputs) -> RunResult:
         """Execute numerically and report modelled timing.
@@ -204,7 +209,7 @@ class CompiledProgram:
         out = self._guard_output(out)
         wall = time.perf_counter() - start
         self._runs += 1
-        timing = estimate_time(self.cost, self.spec)
+        timing = self._timing
         reg = get_registry()
         reg.counter(
             "repro_program_runs_total", help="compiled-program executions, by platform"
@@ -248,7 +253,7 @@ class CompiledProgram:
 
     def estimated_time(self) -> float:
         """Modelled seconds per run at the compiled shapes."""
-        return estimate_time(self.cost, self.spec).total
+        return self._timing.total
 
 
 def compile_program(

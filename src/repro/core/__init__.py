@@ -31,6 +31,7 @@ from repro.core.metrics import mse, psnr, nrmse, max_abs_error, achieved_ratio
 from repro.core.api import (
     Compressor,
     make_compressor,
+    shared_compressor,
     compress,
     decompress,
     set_service,
@@ -87,6 +88,7 @@ __all__ = [
     "achieved_ratio",
     "Compressor",
     "make_compressor",
+    "shared_compressor",
     "compress",
     "decompress",
     "set_service",

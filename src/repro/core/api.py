@@ -2,9 +2,13 @@
 
 The paper's usage model is "call our compress or decompress APIs directly
 from Python training or inference code".  :func:`make_compressor` builds a
-compiled (fixed-shape) compressor for one of the three methods; the
-convenience :func:`compress`/:func:`decompress` pair builds and caches
-compressors keyed on (shape, method, cf, s).
+fresh compiled (fixed-shape) compressor for one of the three methods.
+:func:`shared_compressor` returns the process-wide instance for one
+``(H, W, method, cf, s, block)``: the convenience
+:func:`compress`/:func:`decompress` pair and the serving stack (ladder,
+service, resilient executor) all draw from it, so the DCT operators are
+built, and each call shape probed, once per process rather than once per
+compile.
 
 When a serving layer is installed via :func:`set_service`, the
 convenience pair routes through it instead, so one-shot calls share the
@@ -193,10 +197,29 @@ def clear_cache() -> None:
     fused.clear_fused_cache()
 
 
-def _cached(height: int, width: int, method: str, cf: int, s: int, block: int) -> Compressor:
-    key = (height, width, method, cf, s, block)
+def shared_compressor(
+    height: int,
+    width: int | None = None,
+    *,
+    method: str = "dc",
+    cf: int = 4,
+    s: int = 2,
+    block: int = DEFAULT_BLOCK,
+) -> Compressor:
+    """The process-wide compressor for one ``(H, W, method, cf, s, block)``.
+
+    Built by :func:`make_compressor` on first use and kept in a bounded,
+    lock-guarded LRU, so every caller asking for the same configuration
+    gets the same instance: its operators are built once, and its
+    per-instance probe verdicts (one per direction, lead shape, dtype and
+    worker count) are reused by every later caller.  Instances follow the
+    global fast-path and worker switches at call time, so
+    :func:`repro.core.fused.force_dense` and friends still apply.  Use
+    :func:`make_compressor` when an independent instance is wanted.
+    """
+    width = height if width is None else width
     return _cache.get_or_build(
-        key,
+        (height, width, method, cf, s, block),
         lambda: make_compressor(height, width, method=method, cf=cf, s=s, block=block),
     )
 
@@ -206,7 +229,7 @@ def compress(x, *, method: str = "dc", cf: int = 4, s: int = 2, block: int = DEF
     if _service is not None:
         return _service.compress_one(x, method=method, cf=cf, s=s, block=block)
     shape = x.shape
-    comp = _cached(shape[-2], shape[-1], method, cf, s, block)
+    comp = shared_compressor(shape[-2], shape[-1], method=method, cf=cf, s=s, block=block)
     return comp.compress(x)
 
 
@@ -222,5 +245,7 @@ def decompress(
     """One-shot decompression back to ``original_shape``'s plane size."""
     if _service is not None:
         return _service.decompress_one(y, original_shape, method=method, cf=cf, s=s, block=block)
-    comp = _cached(original_shape[-2], original_shape[-1], method, cf, s, block)
+    comp = shared_compressor(
+        original_shape[-2], original_shape[-1], method=method, cf=cf, s=s, block=block
+    )
     return comp.decompress(y)

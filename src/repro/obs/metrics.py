@@ -19,6 +19,7 @@ deterministic.
 
 from __future__ import annotations
 
+import bisect
 import threading
 from dataclasses import dataclass, field
 
@@ -31,6 +32,12 @@ _LabelKey = tuple
 
 
 def _label_key(labels: dict) -> _LabelKey:
+    # Most updates carry zero or one label: skip the sort for those.
+    if not labels:
+        return ()
+    if len(labels) == 1:
+        ((k, v),) = labels.items()
+        return ((str(k), str(v)),)
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
@@ -165,11 +172,14 @@ class Histogram(_Instrument):
 
     def observe(self, value: float, **labels) -> None:
         key = _label_key(labels)
+        # First bound >= value, as np.searchsorted(side="left") would give;
+        # NaN (which bisect would put first) goes to the +Inf overflow.
+        index = bisect.bisect_left(self.buckets, value) if value == value else len(self.buckets)
         with self._lock:
             series = self._get_series(key)
             series.sum += value
             series.count += 1
-            series.counts[int(np.searchsorted(self.buckets, value, side="left"))] += 1
+            series.counts[index] += 1
 
     def count(self, **labels) -> int:
         series = self._series.get(_label_key(labels))

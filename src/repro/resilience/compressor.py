@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.api import shared_compressor
 from repro.core.dct import DEFAULT_BLOCK
 from repro.errors import DeviceLostError
 from repro.resilience.ladder import LadderPolicy, LadderResult, compile_with_ladder
@@ -219,8 +220,6 @@ class ResilientCompressor:
         result = self._compiled.get("compress")
         if result is not None:
             return result.comp.ratio
-        from repro.core.api import make_compressor
-
-        return make_compressor(
+        return shared_compressor(
             self.height, self.width, method=self.method, cf=self.cf, s=self.s, block=self.block
         ).ratio

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.accel.compiler import CompiledProgram, PlanKey, compile_program
 from repro.accel.multichip import shard_counts
-from repro.core.api import Compressor, make_compressor
+from repro.core.api import Compressor, shared_compressor
 from repro.core.dct import DEFAULT_BLOCK
 from repro.errors import CompileError, ConfigError
 from repro.resilience.log import RecoveryLog
@@ -131,7 +131,9 @@ def compile_with_ladder(
     :class:`~repro.accel.compiler.PlanKey` before tracing: cached plans
     skip compilation entirely, and cached *failures* skip the doomed
     re-trace — so a ladder walk that already resolved once replays in
-    O(attempts) dictionary lookups.
+    O(attempts) dictionary lookups.  Compressors come from
+    :func:`~repro.core.api.shared_compressor`, so a replay builds none,
+    and a recompile after an eviction traces the already-probed instance.
     """
     if direction not in ("compress", "decompress"):
         raise ConfigError(f"direction must be compress|decompress, got {direction!r}")
@@ -145,7 +147,7 @@ def compile_with_ladder(
         if attempt.n_devices > 1 and batch % attempt.n_devices:
             continue
         shard = batch // attempt.n_devices
-        comp = make_compressor(
+        comp = shared_compressor(
             height, width, method=attempt.method, cf=cf, s=attempt.s, block=block
         )
         in_shape = (shard, channels, height, width if width is not None else height)

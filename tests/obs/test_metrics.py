@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
@@ -202,6 +203,19 @@ class TestHistogramBucketEdges:
             h.observe(b)                    # each exactly on a bound
         counts = h.bucket_counts()
         assert counts == [1] * len(bounds) + [0]
+
+    def test_bucket_index_matches_searchsorted_left(self):
+        bounds = exponential_buckets(1e-6, 2.0, 23)
+        edges = np.asarray(bounds)
+        values = np.concatenate([
+            edges,                                  # on each bound
+            np.sqrt(edges[:-1] * edges[1:]),        # between bounds
+            [0.0, -1.0, 1e-9, edges[-1] * 3, np.inf, -np.inf, np.nan],
+        ])
+        for v in [*values.tolist(), *values.astype(np.float32)]:
+            h = Histogram("lat", buckets=bounds)
+            h.observe(v)
+            assert h.bucket_counts().index(1) == np.searchsorted(bounds, v, side="left"), v
 
 
 class TestPrometheusEscaping:
