@@ -31,12 +31,15 @@ Design notes, because perf CI is where good intentions go to flake:
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
+import os
 import platform
 import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -486,11 +489,44 @@ class BenchReport:
             fh.write(self.to_json())
 
 
+def _blas_build() -> tuple[str, str]:
+    """Name and version of the BLAS numpy was built against."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):
+        return "unknown", "unknown"
+    return str(blas.get("name", "unknown")), str(blas.get("version", "unknown"))
+
+
+def blas_threads() -> int | None:
+    """Threads the OpenBLAS bundled with numpy runs, or ``None`` if unknown.
+
+    numpy wheels ship ``libscipy_openblas*`` in ``numpy.libs``; loading it
+    again returns the handle numpy already mapped, whose
+    ``scipy_openblas_get_num_threads64_`` export answers directly.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            get = ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype = ctypes.c_int
+        return int(get())
+    return None
+
+
 def current_env() -> dict:
+    """The machine a report was measured on: versions, cores and BLAS."""
+    blas, blas_version = _blas_build()
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+        "blas": blas,
+        "blas_version": blas_version,
+        "blas_threads": blas_threads(),
     }
 
 

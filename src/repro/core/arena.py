@@ -1,9 +1,10 @@
 """Preallocated buffer arena: the zero-allocation steady state.
 
-The nd fast-path kernels (:func:`repro.core.fused.tiled_compress_nd` and
-friends) write every intermediate and their output through ``out=``
-buffers.  With no arena active they allocate those buffers per call —
-exactly what the Tensor kernels did.  With an arena active (``with
+The tiled fast-path kernels (:func:`repro.core.fused.tiled_compress_nd`
+and :func:`~repro.core.fused.tiled_decompress_nd`) can write every
+intermediate and their output through ``out=`` buffers.  With no arena
+active they allocate each intermediate per call and free it as soon as
+the next step has read it.  With an arena active (``with
 arena.use(): ...``) buffers are keyed by ``(tag, shape, dtype)`` and
 reused across calls, so a steady-state serving loop that sees the same
 request shape repeatedly performs **zero per-request array allocations**
@@ -26,7 +27,9 @@ Activation is **thread-local and off by default**: without an explicit
 bit-identical replay).  One :class:`Arena` must not be active on two
 threads at once — buffers are shared scratch.  The parallel fast path is
 safe *within* one call: worker spans write disjoint slices of the same
-arena buffers handed out by the coordinating thread.
+arena buffers handed out by the coordinating thread.  Gradient-carrying
+calls bypass the arena: a result on the autograd tape, and its gradient,
+must outlive ring rotation.
 """
 
 from __future__ import annotations

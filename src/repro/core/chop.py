@@ -40,6 +40,11 @@ from repro.tensor import Tensor, is_grad_enabled, no_grad
 _VERDICT_CAP = 256
 
 
+def _on_tape(t: Tensor) -> bool:
+    """Whether ops on ``t`` record onto the autograd tape."""
+    return t.requires_grad and is_grad_enabled()
+
+
 def _block_diagonal(mat: np.ndarray, n: int) -> np.ndarray:
     """Tile ``mat`` (b x b) along the diagonal of an ``n x n`` zero matrix."""
     b = mat.shape[0]
@@ -160,10 +165,6 @@ class DCTChopCompressor:
                 self.block, self.cf,
             )
         self._fops = ops
-        self._enc_r = Tensor(ops.enc_r)
-        self._enc_lT = Tensor(ops.enc_lT)
-        self._dec_r = Tensor(ops.dec_r)
-        self._dec_lT = Tensor(ops.dec_lT)
         # (direction, lead shape, dtype[, workers]) -> probe verdict
         # (True = fast ok).  The lock serializes probe-and-insert: without
         # it, concurrent first-calls on one shape probe twice and racing
@@ -258,12 +259,9 @@ class DCTChopCompressor:
     ) -> bool:
         """Run dense and tiled on seeded data of this shape; compare bytes.
 
-        A serial verdict (``workers == 1``) certifies *both* tiled kernel
-        families — the autograd Tensor kernels and the ``out=``-buffer nd
-        kernels — against the dense oracle, since dispatch may use either
-        depending on gradient state and armed guards.  A parallel verdict
-        certifies the nd kernels at exactly that worker count (the only
-        parallel execution there is).
+        The tiled leg is the nd kernel at exactly ``workers``.  A serial
+        verdict also covers the autograd adapter, whose forward is the
+        same serial kernel.
 
         Runs with fault injection suspended: a scripted SDC flip landing in
         the probe's tiled leg would fail the comparison and wrongly pin the
@@ -276,37 +274,27 @@ class DCTChopCompressor:
         with suspend_faults(), no_grad(), arena_mod.bypass():
             t = Tensor(data, dtype=data.dtype)
             if direction == "compress":
-                dense = self._compress_dense(t).data
-                legs = [self._compress_tiled(t).data] if workers == 1 else []
-                legs.append(
-                    fused.tiled_compress_nd(t.data, self._fops, workers=workers)
-                )
+                dense = self._compress_dense(t)
             else:
-                dense = self._decompress_dense(t).data
-                legs = [self._decompress_tiled(t).data] if workers == 1 else []
-                legs.append(
-                    fused.tiled_decompress_nd(
-                        t.data, self._fops,
-                        self.height // self.block, self.width // self.block,
-                        workers=workers,
-                    )
-                )
-        return all(np.array_equal(dense, leg) for leg in legs)
+                dense = self._decompress_dense(t)
+            tiled = self._tiled(direction, t, workers)
+        return np.array_equal(dense.data, tiled.data)
 
     def _dispatch_fast(
-        self, shape: tuple[int, ...], dtype, direction: str, use_nd: bool
+        self, t: Tensor, direction: str, shape: tuple[int, ...] | None = None
     ) -> int | None:
         """Resolve one call's execution: worker count, or ``None`` = dense.
 
-        Parallel execution only exists on the nd kernels, so the worker
-        count collapses to 1 whenever they are ineligible.  A failed
-        parallel probe falls back to the (probed) serial fast path before
-        giving up and going dense.
+        ``shape`` is the dense-layout call shape when ``t`` is in another
+        layout.  Tape-carrying calls run serially.  A failed parallel
+        probe falls back to the (probed) serial fast path before giving up
+        and going dense.
         """
-        workers = parallel_mod.resolve_workers(self._workers) if use_nd else 1
-        if self._use_fast(shape, dtype, direction, workers):
+        shape = t.shape if shape is None else shape
+        workers = 1 if _on_tape(t) else parallel_mod.resolve_workers(self._workers)
+        if self._use_fast(shape, t.dtype, direction, workers):
             return workers
-        if workers > 1 and self._use_fast(shape, dtype, direction, 1):
+        if workers > 1 and self._use_fast(shape, t.dtype, direction, 1):
             return 1
         return None
 
@@ -316,53 +304,38 @@ class DCTChopCompressor:
     def _compress_dense(self, x: Tensor) -> Tensor:
         return rt.matmul(self._lhs, rt.matmul(x, self._rhs))
 
-    def _compress_tiled(self, x: Tensor, *, blocks: bool = False) -> Tensor:
-        return fused.tiled_compress(
-            x, self._enc_r, self._enc_lT, self.block, self.cf, blocks=blocks
-        )
-
     def _decompress_dense(self, y: Tensor) -> Tensor:
         return rt.matmul(self._rhs_d, rt.matmul(y, self._lhs_d))
 
-    def _decompress_tiled(self, y: Tensor, *, from_blocks: bool = False) -> Tensor:
-        return fused.tiled_decompress(
-            y, self._dec_r, self._dec_lT, self.block, self.cf,
-            self.height // self.block, self.width // self.block,
-            from_blocks=from_blocks,
-        )
-
-    def _grad_carrying(self, t: Tensor) -> bool:
-        return is_grad_enabled() and t.requires_grad
-
-    def _compress_nd(self, x: Tensor, workers: int, *, blocks: bool = False) -> Tensor:
-        return Tensor(
-            fused.tiled_compress_nd(x.data, self._fops, blocks=blocks, workers=workers)
-        )
-
-    def _decompress_nd(
-        self, y: Tensor, workers: int, *, from_blocks: bool = False
+    def _tiled(
+        self, direction: str, t: Tensor, workers: int, *, blocks: bool = False
     ) -> Tensor:
-        return Tensor(
-            fused.tiled_decompress_nd(
-                y.data, self._fops,
-                self.height // self.block, self.width // self.block,
-                from_blocks=from_blocks, workers=workers,
+        """The tiled kernel for ``direction``; ``blocks`` selects the SG
+        block layout on the compressed side."""
+        nbh, nbw = self.height // self.block, self.width // self.block
+        if _on_tape(t):
+            if direction == "compress":
+                return fused.tiled_compress(t, self._fops, blocks=blocks)
+            return fused.tiled_decompress(t, self._fops, nbh, nbw, from_blocks=blocks)
+        if direction == "compress":
+            out = fused.tiled_compress_nd(
+                t.data, self._fops, blocks=blocks, workers=workers
             )
-        )
+        else:
+            out = fused.tiled_decompress_nd(
+                t.data, self._fops, nbh, nbw, from_blocks=blocks, workers=workers
+            )
+        return Tensor(out)
 
     @profiled("core.dc.compress", matmuls=2)
     def _compress_tiled_blocks(self, x: Tensor, workers: int = 1) -> Tensor:
         """Blocks-layout tiled compress, profiled as the DC work it is."""
-        if not self._grad_carrying(x) and fused.nd_path_eligible():
-            return self._compress_nd(x, workers, blocks=True)
-        return self._compress_tiled(x, blocks=True)
+        return self._tiled("compress", x, workers, blocks=True)
 
     @profiled("core.dc.decompress", matmuls=2)
     def _decompress_tiled_blocks(self, y: Tensor, workers: int = 1) -> Tensor:
         """Blocks-layout tiled decompress, profiled as the DC work it is."""
-        if not self._grad_carrying(y) and fused.nd_path_eligible():
-            return self._decompress_nd(y, workers, from_blocks=True)
-        return self._decompress_tiled(y, from_blocks=True)
+        return self._tiled("decompress", y, workers, blocks=True)
 
     @profiled("core.dc.compress", matmuls=2)
     def compress(self, x) -> Tensor:
@@ -378,11 +351,10 @@ class DCTChopCompressor:
         """
         x = x if isinstance(x, Tensor) else Tensor(x)
         self._check_plane(x.shape)
-        use_nd = not self._grad_carrying(x) and fused.nd_path_eligible()
-        workers = self._dispatch_fast(x.shape, x.dtype, "compress", use_nd)
+        workers = self._dispatch_fast(x, "compress")
         if workers is None:
             return self._compress_dense(x)
-        result = self._compress_nd(x, workers) if use_nd else self._compress_tiled(x)
+        result = self._tiled("compress", x, workers)
         if fused.has_nonfinite(result.data):
             return self._compress_dense(x)
         return result
@@ -399,11 +371,10 @@ class DCTChopCompressor:
         # The input *is* the small compressed side — check it directly.
         if fused.has_nonfinite(y.data):
             return self._decompress_dense(y)
-        use_nd = not self._grad_carrying(y) and fused.nd_path_eligible()
-        workers = self._dispatch_fast(y.shape, y.dtype, "decompress", use_nd)
+        workers = self._dispatch_fast(y, "decompress")
         if workers is None:
             return self._decompress_dense(y)
-        return self._decompress_nd(y, workers) if use_nd else self._decompress_tiled(y)
+        return self._tiled("decompress", y, workers)
 
     def roundtrip(self, x) -> Tensor:
         """Compress then decompress — the per-batch op used during training."""

@@ -129,8 +129,7 @@ class ScatterGatherCompressor:
         """
         x = x if isinstance(x, Tensor) else Tensor(x)
         self.inner._check_plane(x.shape)
-        use_nd = not self.inner._grad_carrying(x) and fused.nd_path_eligible()
-        workers = self.inner._dispatch_fast(x.shape, x.dtype, "compress", use_nd)
+        workers = self.inner._dispatch_fast(x, "compress")
         if workers is not None:
             blocks = self.inner._compress_tiled_blocks(x, workers)
             if fused.has_nonfinite(blocks.data):
@@ -155,10 +154,7 @@ class ScatterGatherCompressor:
         # The retained triangle is the small compressed side: check it for
         # non-finite data before the fast path may run (pin to dense).
         if not fused.has_nonfinite(z.data):
-            use_nd = not self.inner._grad_carrying(z) and fused.nd_path_eligible()
-            workers = self.inner._dispatch_fast(
-                dense_layout_shape, z.dtype, "decompress", use_nd
-            )
+            workers = self.inner._dispatch_fast(z, "decompress", dense_layout_shape)
             if workers is not None:
                 return self.inner._decompress_tiled_blocks(blocks, workers)
         return self.inner.decompress(self._from_blocks(blocks))

@@ -25,7 +25,7 @@ from repro.core.chop import DCTChopCompressor
 from repro.core.dct import DEFAULT_BLOCK
 from repro.errors import ConfigError, ShapeError, require_int
 from repro.obs.profile import profiled
-from repro.tensor import Tensor, no_grad
+from repro.tensor import Tensor, is_grad_enabled, no_grad
 
 
 class PartialSerializedCompressor:
@@ -114,7 +114,7 @@ class PartialSerializedCompressor:
     def _cell_workers(self, t: Tensor) -> int:
         """Worker count for one call (1 == the plain serial loop)."""
         workers = parallel_mod.resolve_workers(self._workers)
-        if workers > 1 and self.inner._grad_carrying(t):
+        if workers > 1 and t.requires_grad and is_grad_enabled():
             # The autograd tape is built on the calling thread.
             return 1
         return workers

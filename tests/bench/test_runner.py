@@ -1,6 +1,7 @@
 """repro.bench: suite construction, determinism, JSON schema, regression gate."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -142,6 +143,15 @@ class TestReport:
         for entry in loaded["cases"]:
             assert {"method", "n", "cf", "direction", "median_s", "p95_s", "checksum"} <= set(entry)
         assert loaded["speedups"][0]["identical"] is True
+
+    def test_env_records_cores_and_blas(self):
+        env = bench.runner.current_env()
+        assert env["cpu_count"] == os.cpu_count()
+        assert env["blas"] and env["blas_version"]
+        threads = env["blas_threads"]
+        assert threads is None or (isinstance(threads, int) and threads >= 1)
+        assert env["numpy"] == np.__version__
+        json.dumps(env)  # travels in the report as plain JSON
 
     def test_speedup_section(self, tiny_report):
         assert len(tiny_report.speedups) == 1
