@@ -29,6 +29,11 @@ from repro.faults.injector import corrupt_buffer
 from repro.integrity.policy import IntegrityPolicy, note_detected
 
 
+# Rows checked per pass: the checksum temporaries (``|a|`` and a few
+# row-length vectors) stay cache-sized instead of copying the operand.
+_CHECK_BYTES = 1 << 20
+
+
 def abft_mismatch(
     a: np.ndarray, b: np.ndarray, c: np.ndarray, *, rtol: float, atol: float
 ) -> bool:
@@ -38,15 +43,27 @@ def abft_mismatch(
     row sum to NaN), and ``NaN > tol`` is False — a naive comparison
     would wave exactly the worst corruption through.  Any non-finite row
     sum that the honest inputs cannot explain is therefore a mismatch by
-    definition.
+    definition.  Each row's check is independent, so a 2-D ``a`` is
+    checked in slabs of rows.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         bsum = b.sum(axis=-1)
-        expect = a @ bsum
-        got = c.sum(axis=-1)
-        scale = np.abs(a) @ np.abs(b).sum(axis=-1)
-        bad = ~np.isfinite(got) & np.isfinite(expect)
-        diff = np.abs(got - expect)
+        babs = np.abs(b).sum(axis=-1)
+        if a.ndim != 2:
+            return _rows_mismatch(a, c, bsum, babs, rtol, atol)
+        step = max(1, _CHECK_BYTES // max(1, a.shape[1] * a.itemsize))
+        return any(
+            _rows_mismatch(a[lo:lo + step], c[lo:lo + step], bsum, babs, rtol, atol)
+            for lo in range(0, len(a), step)
+        )
+
+
+def _rows_mismatch(a, c, bsum, babs, rtol, atol) -> bool:
+    expect = a @ bsum
+    got = c.sum(axis=-1)
+    scale = np.abs(a) @ babs
+    bad = ~np.isfinite(got) & np.isfinite(expect)
+    diff = np.abs(got - expect)
     return bool(np.any(bad) or np.any(diff > (rtol * scale + atol)))
 
 

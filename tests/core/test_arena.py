@@ -174,6 +174,25 @@ class TestZeroAllocationSteadyState:
         assert arena_delta < control_delta / 10
 
 
+class TestInPlacePermute:
+    """Without an arena the kernels permute their GEMM products in place,
+    a slab of tile rows at a time; with one they copy into scratch.  The
+    GEMMs are the same, so the bytes must be too."""
+
+    @pytest.mark.parametrize("blocks", [False, True])
+    def test_one_row_slabs_match_the_arena_copies(self, rng, monkeypatch, blocks):
+        monkeypatch.setattr(fused, "_SLAB_BYTES", 1)   # one tile row per slab
+        ops = fused.fused_operators(8, 4, np.float32)
+        x = rng.standard_normal((3, 2, 32, 32)).astype(np.float32)
+        with Arena().use():
+            y_ref = fused.tiled_compress_nd(x, ops, blocks=blocks).copy()
+            z_ref = fused.tiled_decompress_nd(y_ref, ops, 4, 4, from_blocks=blocks).copy()
+        y = fused.tiled_compress_nd(x, ops, blocks=blocks)
+        assert y.tobytes() == y_ref.tobytes()
+        z = fused.tiled_decompress_nd(y, ops, 4, 4, from_blocks=blocks)
+        assert z.tobytes() == z_ref.tobytes()
+
+
 class TestOutBufferValidation:
     """Satellite regression: ``out=`` must never let a kernel write into
     a read-only array — in particular a cached fused operator."""

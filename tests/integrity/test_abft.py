@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.integrity.abft as abft_mod
 from repro.errors import IntegrityFault
 from repro.faults import FaultInjector, FaultPlan
 from repro.integrity import (
@@ -54,6 +55,15 @@ class TestAbftMismatch:
         assert abft_mismatch(a, b, c, rtol=1e-5, atol=1e-8)
         with np.errstate(invalid="ignore"):
             assert not np.isfinite(c[5].sum())
+
+    def test_every_row_slab_is_checked(self, rng, monkeypatch):
+        # Rows are checked a slab at a time; a flip in the last slab counts.
+        monkeypatch.setattr(abft_mod, "_CHECK_BYTES", 5 * 16 * 4)   # 5 rows of a
+        a, b = _mats(rng)
+        c = a @ b
+        assert not abft_mismatch(a, b, c, rtol=1e-5, atol=1e-8)
+        c[-1, 0] = np.inf
+        assert abft_mismatch(a, b, c, rtol=1e-5, atol=1e-8)
 
     def test_float_noise_within_tolerance(self, rng):
         a, b = _mats(rng, n=64, k=128, m=64)
